@@ -56,13 +56,13 @@ class BenchCase:
     """One timed workload.
 
     ``steps``/``warmup`` are (full, quick) pairs; warmup steps run
-    untimed first so the cell-list build and first JIT/caching costs do
+    untimed first so the cell-list build and first caching costs do
     not pollute the steady-state rate.  ``backend`` pins the kernel
     backend for this case (``None`` keeps whatever the harness was
     launched with); ``workers`` sizes the parallel pipeline's pool.
     ``seed_key`` names the :data:`SEED_BASELINE` row this case gates
-    against — backend variants of a workload (``numba-Ta``,
-    ``par-Ta-w*``) share the serial numpy case's seed rate, so their
+    against — backend variants of a workload (``par-Ta-w*``) share
+    the serial numpy case's seed rate, so their
     ``speedup_vs_seed`` answers "how much faster than the pre-kernel
     tree on the *same physics*", not "vs nothing".
     """
@@ -123,11 +123,6 @@ CASES: tuple[BenchCase, ...] = (
     BenchCase("par-Ta-4x1", "reference", "Ta", (20, 20, 20), (40, 40),
               (2, 5), backend="parallel", seed_key="ref-Ta",
               topology=(4, 1), windows=3),
-    # JIT tier on the acceptance workload: same slab as ref-Ta, whole
-    # run under the numba backend.  Skipped (with a progress note) on
-    # hosts without numba; gates against ref-Ta's seed rate.
-    BenchCase("numba-Ta", "reference", "Ta", (20, 20, 20), (40, 40),
-              (2, 5), backend="numba", seed_key="ref-Ta", windows=3),
     BenchCase("ref-Cu", "reference", "Cu", (16, 16, 16), (6, 40), (2, 5),
               windows=3),
     BenchCase("ref-W", "reference", "W", (20, 20, 20), (6, 40), (2, 5),
@@ -158,7 +153,6 @@ QUICK_REPS: dict[str, tuple[int, int, int]] = {
     "par-Ta-w2": (8, 8, 4),
     "par-Ta-w4": (8, 8, 4),
     "par-Ta-4x1": (8, 8, 4),
-    "numba-Ta": (8, 8, 4),
 }
 
 #: steps/s measured on the seed tree (commit c12f1fa, this container)
@@ -291,14 +285,9 @@ def _execute(
     case: BenchCase, reps, steps: int, warmup: int, *, profile: bool = False
 ) -> BenchResult:
     """One timed case through the runtime factory — engine-agnostic."""
-    from repro.kernels import active_backend_name, warmup_backend
+    from repro.kernels import active_backend_name
     from repro.runtime import RunSpec, build_engine
 
-    # Pay (and record) the backend's one-time JIT compile / cache-load
-    # cost before the engine exists, so it can never leak into either
-    # the warmup steps or the timed window.  0.0 for hook-less backends;
-    # cached after the first case on each backend.
-    jit_warmup_s = warmup_backend()
     spec = RunSpec(
         element=case.element,
         reps=reps,
@@ -340,7 +329,6 @@ def _execute(
     if len(window_rates) > 1:
         extra["window_steps_per_s"] = [round(r, 3) for r in window_rates]
     extra["kernel_backend"] = active_backend_name()
-    extra["jit_warmup_s"] = round(jit_warmup_s, 4)
     if case.topology is not None or case.backend == "parallel":
         # the multiwafer comparison hook needs the slab geometry (any
         # parallel case may resolve to a 2D grid via the near-square
@@ -396,9 +384,9 @@ def run_bench(
     Each case pins its kernel backend explicitly (its own ``backend``
     or the backend active when the sweep started), so a ``parallel``
     case never leaks its backend into the serial cases after it.  A
-    case pinned to a backend this host cannot import (``numba-Ta``
-    without numba, ``par-*`` without fork) is skipped with a progress
-    note rather than silently timing numpy under the wrong name.
+    case pinned to a backend this host cannot import (``par-*``
+    without fork) is skipped with a progress note rather than silently
+    timing numpy under the wrong name.
     ``workers`` overrides the pool size of every 1D parallel case
     (topology cases keep their grid — a worker override would conflict
     with it) and ``transport`` overrides every parallel case's
@@ -460,7 +448,7 @@ def cross_backend_notes(
     """Backend-vs-numpy comparison lines for ``repro bench`` output.
 
     Every timed case pinned to a non-default backend whose ``seed_key``
-    names a numpy sibling (``numba-Ta`` / ``par-Ta-w*`` vs ``ref-Ta``)
+    names a numpy sibling (``par-Ta-w*`` vs ``ref-Ta``)
     yields one note stating its rate as a multiple of the sibling's.
     The sibling's rate comes from this run when it was timed, else from
     the newest ``baseline`` history entry that timed it (restricted to

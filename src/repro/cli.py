@@ -124,8 +124,6 @@ def _spec_from_run_args(args):
             overrides["topology"] = args.topology
         if args.transport is not None:
             overrides["transport"] = args.transport
-        if args.fuse_integrate:
-            overrides["fuse_integrate"] = True
         if args.offset_chunk is not None:
             overrides["offset_chunk"] = args.offset_chunk
         if args.checkpoint_interval is not None:
@@ -142,7 +140,6 @@ def _spec_from_run_args(args):
         workers=args.workers or 0,
         topology=args.topology,
         transport=args.transport,
-        fuse_integrate=args.fuse_integrate,
         offset_chunk=args.offset_chunk or 0,
         swap_interval=args.swap_interval,
         force_symmetry=args.force_symmetry,
@@ -735,8 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--swap-interval", type=int, default=0)
         p.add_argument("--force-symmetry", action="store_true")
         p.add_argument("--backend", default=None,
-                       help="kernel backend (numpy, numba, parallel); "
-                            "default: $REPRO_KERNEL_BACKEND or numpy")
+                       choices=["numpy", "parallel"],
+                       help="kernel backend (default: "
+                            "$REPRO_KERNEL_BACKEND or numpy)")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes for the parallel backend "
                             "(default: os.cpu_count()), or for the wse "
@@ -756,10 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wse streaming-sweep batch size in offsets "
                             "(default: auto-sized from the grid); a "
                             "speed/memory knob, never physics")
-        p.add_argument("--fuse-integrate", action="store_true",
-                       help="fold the leap-frog kick+drift into the kernel "
-                            "backend's force_integrate pass (reference "
-                            "engine; a speed knob, never physics)")
         p.add_argument("--checkpoint-interval", type=int, default=None,
                        help="also checkpoint every N steps (default: only "
                             "a final checkpoint)")
@@ -854,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="small slabs (CI-sized, seconds not minutes)")
     bench.add_argument("--out", default="BENCH_kernels.json")
     bench.add_argument("--backend", default=None,
-                       choices=["numpy", "numba", "parallel"],
+                       choices=["numpy", "parallel"],
                        help="kernel backend for every case (overrides "
                             "each case's own pin)")
     bench.add_argument("--workers", type=int, default=None,

@@ -1,4 +1,4 @@
-"""Baseline NumPy kernels (always available).
+"""NumPy kernels (always available).
 
 The fused spline evaluation is the hot loop of the whole EAM stack: one
 gather of the packed ``(nseg, 4)`` coefficient rows, then a Horner
@@ -7,14 +7,12 @@ replaces the seed's four scattered per-coefficient gathers and the
 separate value/derivative passes.
 
 The whole-pass kernels (``neighbor_prefilter``, ``fused_density_pass``,
-``fused_force_pass``, ``grouped_spline_eval``, ``force_integrate``) are
-the numpy ports of the loops that used to live inline in
-:mod:`repro.md.neighbor_list`, :mod:`repro.potentials.eam` and
-:mod:`repro.md.integrators`.  They are deliberately written with the
-*identical* numpy operations and orderings those call sites used, so
-routing the physics modules through the kernel layer is a pure
-refactor: bitwise-identical outputs, and the per-function fallback for
-partial backends never changes a trajectory.
+``fused_force_pass``, ``grouped_spline_eval``) are the numpy ports of
+the loops that used to live inline in :mod:`repro.md.neighbor_list`
+and :mod:`repro.potentials.eam`.  They are deliberately written with
+the *identical* numpy operations and orderings those call sites used,
+so routing the physics modules through the kernel layer is a pure
+refactor: bitwise-identical outputs.
 
 Spline *banks* are the packed-group tuples built by
 :meth:`repro.potentials.spline.SplineGroup.bank`::
@@ -30,8 +28,6 @@ the boundary polynomial continues naturally).
 from __future__ import annotations
 
 import numpy as np
-
-name = "numpy"
 
 
 def spline_eval(
@@ -232,22 +228,3 @@ def fused_force_pass(
     e_pair += accumulate_scalar(j, w, n_atoms)
     return e_pair, forces
 
-
-def force_integrate(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    forces: np.ndarray,
-    masses: np.ndarray,
-    dt: float,
-    mvv2e: float,
-) -> None:
-    """Leap-frog kick + drift folded onto the force output, in place.
-
-    Exactly :class:`repro.md.integrators.LeapfrogVerlet`'s update —
-    ``v += F/(m*mvv2e) dt;  x += v dt`` with ``dt`` in ps — so the
-    fused path is bitwise identical to the unfused one under this
-    backend.
-    """
-    a = forces / (masses[:, None] * mvv2e)
-    velocities += a * dt
-    positions += velocities * dt

@@ -10,14 +10,11 @@ Selecting ``backend="parallel"`` means two things:
   (``provides_pipeline``), with the layout taken from
   ``RunSpec.workers``/``topology``/``transport``.  Workers own their
   tiles across steps (sparse halo packs, cross-step candidate reuse);
-  their inner loops still run a serial backend from this registry —
-  numpy by default, or the JIT tier via
-  ``REPRO_PARALLEL_INNER_BACKEND``.
+  their inner loops run these same numpy kernels.
 
 Importing this module raises :class:`ImportError` when the platform
 cannot host the worker pool (no fork start method), so the registry's
-standard once-per-name fallback degrades ``parallel`` to ``numpy``
-exactly like a missing JIT.
+standard once-per-name fallback degrades ``parallel`` to ``numpy``.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 from repro.kernels.numpy_backend import (  # noqa: F401  (registry contract)
     accumulate_scalar,
     accumulate_vec3,
-    force_integrate,
     fused_density_pass,
     fused_force_pass,
     grouped_spline_eval,

@@ -34,7 +34,7 @@ def label(name: str, **labels) -> str:
 
     The registry is name-keyed, so labels are encoded into the name
     (Prometheus exposition style).  Sorting makes the encoding
-    deterministic — ``label("serve.job.steps", job="a1")`` always maps
+    deterministic — ``label("serve.jobs", state="done")`` always maps
     to the same instrument.  Label values are stringified; ``{``/``}``
     and commas in values are replaced to keep the name parseable.
     """

@@ -66,8 +66,8 @@ def _offset_worker_main(conn, wid: int, shared: dict, cfg: dict) -> None:
     from repro.core.streaming import StreamingSweeps
     from repro.kernels import set_backend
 
-    # Workers always run the serial numpy kernels (same rule as the
-    # shard pipeline): nested pools are never spawned.
+    # Workers always run the serial numpy kernels: nested pools are
+    # never spawned.
     set_backend("numpy")
     pos = shared["pos"]
     occ = shared["occ"]

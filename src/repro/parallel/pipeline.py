@@ -79,7 +79,7 @@ from repro.parallel.domains import (
     tile_local_ids,
     warn_halo_dominated,
 )
-from repro.parallel.transport import make_transport
+from repro.parallel.transport import make_transport, usable_cpus
 
 __all__ = ["ShardedForcePipeline"]
 
@@ -166,38 +166,20 @@ class ShardedForcePipeline:
         self.overlap = os.environ.get(
             "REPRO_PARALLEL_NO_OVERLAP", ""
         ) in ("", "0")
-        # Shard inner loops call the active backend's fused passes; the
-        # worker-side backend defaults to numpy and may be switched to
-        # the JIT tier (sharding x compiled kernels compose) via env.
-        self.inner_backend = os.environ.get(
-            "REPRO_PARALLEL_INNER_BACKEND", "numpy"
-        )
         # On a host with fewer cores than workers, concurrent shards
         # timeshare cores and evict each other's caches mid-pass, so
         # heavy rounds run fastest dispatched one rank at a time.
         # Results are identical either way (the reduction order is
         # fixed by rank, not arrival); this is purely a wall-clock
-        # policy, overridable via REPRO_PARALLEL_STAGGER=0/1.
-        env_stagger = os.environ.get("REPRO_PARALLEL_STAGGER", "")
-        if env_stagger in ("", "auto"):
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except (AttributeError, OSError):  # pragma: no cover
-                cpus = os.cpu_count() or 1
-            self.stagger = cpus < self.n_workers
-        else:
-            self.stagger = env_stagger != "0"
+        # policy.
+        self.stagger = usable_cpus() < self.n_workers
         # Tile builds bin at half the reach (radius-2 stencil): the
         # finer grid hugs the reach sphere tighter, cutting the raw
         # candidate stream the build prefilter consumes by ~40%.  Only
         # the enumeration *order* changes — the prefiltered candidate
         # set is identical — so the w=1 bitwise-serial contract pins
         # single-tile runs to the serial radius-1 enumeration.
-        env_sub = os.environ.get("REPRO_PARALLEL_BUILD_SUBDIVIDE", "")
-        if self.n_workers == 1:
-            self.build_subdivide = 1
-        else:
-            self.build_subdivide = int(env_sub) if env_sub else 2
+        subdivide = 1 if self.n_workers == 1 else 2
         cfg = {
             "potential": potential,
             "box": state.box,
@@ -205,8 +187,7 @@ class ShardedForcePipeline:
             "reach": self.reach,
             "skin": self.skin,
             "n_atoms": n,
-            "inner_backend": self.inner_backend,
-            "build_subdivide": self.build_subdivide,
+            "subdivide": subdivide,
         }
         kind = transport or os.environ.get(
             "REPRO_PARALLEL_TRANSPORT", "auto"

@@ -218,24 +218,13 @@ class ShardWorker:
     (``REPRO_PARALLEL_NO_OVERLAP``), which is what makes overlap-on
     bitwise-equal to overlap-off.
 
-    ``switch_backend=False`` skips the process-global kernel-backend
-    switch: the inline transport runs workers inside the parent
-    process, whose active backend (the ``parallel`` backend re-exports
-    the numpy kernels) already evaluates the identical arithmetic.
+    Inner loops call the process's active kernel backend: ``numpy``,
+    or ``parallel``, which re-exports the same numpy kernels.
     """
 
-    def __init__(self, channel, cfg: dict, *, switch_backend: bool = True):
+    def __init__(self, channel, cfg: dict):
         from repro.md.cell_list import CellList
 
-        if switch_backend:
-            from repro.kernels import set_backend
-
-            # The "parallel" backend name only means "drive workers
-            # from the parent"; each worker's inner loops run a serial
-            # backend — numpy by default, or numba when the pipeline
-            # was configured to stack the JIT tier on top of sharding
-            # (REPRO_PARALLEL_INNER_BACKEND).
-            set_backend(cfg.get("inner_backend", "numpy"))
         self.channel = channel
         self.cfg = cfg
         self.potential = cfg["potential"]
@@ -243,7 +232,7 @@ class ShardWorker:
         self.reach = cfg["reach"]
         self.cells = CellList(  # reused buffers across rebuilds
             cfg["box"], self.reach,
-            subdivide=cfg.get("build_subdivide", 1),
+            subdivide=cfg.get("subdivide", 1),
         )
         self.n_local = 0
         self.types_l = None
@@ -1011,7 +1000,7 @@ class InlineTransport:
         self._full_ids: dict = {}
         wcfg = dict(cfg, outputs=tuple(outputs))
         self._workers = [
-            ShardWorker(ch, wcfg, switch_backend=False)
+            ShardWorker(ch, wcfg)
             for ch in self._channels
         ]
 
@@ -1129,16 +1118,21 @@ class InlineTransport:
         self._buffers = []
 
 
-def resolve_transport(kind: str | None, n_workers: int, cfg: dict) -> str:
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-linux
+        return os.cpu_count() or 1
+
+
+def resolve_transport(kind: str | None, n_workers: int) -> str:
     """Resolve ``None``/``"auto"`` to a concrete transport kind.
 
     Process-backed transports only pay off with spare cores: when the
     host has fewer CPUs than workers (or only one worker), the forked
     tiers add IPC and context-switch cost for zero concurrency, so
     ``auto`` picks the inline tier instead — same bits, no processes.
-    A non-default inner kernel backend forces the forked tier (the
-    inline workers share the parent's active backend and cannot switch
-    it per-tile).
 
     A core-starved auto-inline pick warns once per (workers, cpus)
     shape: the user asked for parallelism the host cannot deliver, and
@@ -1147,14 +1141,9 @@ def resolve_transport(kind: str | None, n_workers: int, cfg: dict) -> str:
     """
     if kind not in (None, "auto"):
         return kind
-    if cfg.get("inner_backend", "numpy") != "numpy":
-        return "shared"
     if n_workers == 1:
         return "inline"
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-linux
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if cpus < n_workers:
         from repro.parallel import warn_once
 
@@ -1186,7 +1175,7 @@ def make_transport(
     sizes its double-buffered side channels from it at arena-creation
     time, pre-fork.
     """
-    kind = resolve_transport(kind, n_workers, cfg)
+    kind = resolve_transport(kind, n_workers)
     if kind == "shared":
         return ForkTransport(
             n_workers, inputs, outputs, cfg, name=name, halo=halo

@@ -261,8 +261,8 @@ class SplineGroup:
         ``grouped_spline_eval`` / ``fused_density_pass`` /
         ``fused_force_pass`` kernels take: ``(coeffs, row0, x0, h,
         nseg, x_max, y_last, clamp_low, zero_above)``, all per-member
-        arrays C-contiguous.  Built once and cached — compiled backends
-        key their dispatch on these exact array objects.
+        arrays C-contiguous.  Built once and cached, so every step
+        reuses the same array objects.
         """
         cached = self._bank
         if cached is None:

@@ -120,8 +120,10 @@ class RunSpec:
     skin:
         Reference-engine neighbor-list skin (A); ignored by ``wse``.
     backend:
-        Kernel backend (``numpy``, ``numba``, ``parallel``); ``None``
-        keeps the process default.
+        Kernel backend (``numpy`` or ``parallel``; both run the same
+        numpy kernels, ``parallel`` adds the sharded force pipeline);
+        ``None`` keeps the process default.  An unknown name falls
+        back to ``numpy`` with one warning.
     workers:
         Worker count for the ``parallel`` backend's sharded force
         pipeline (0 = one per CPU), or — on the ``wse`` engine — for
@@ -148,15 +150,6 @@ class RunSpec:
         otherwise).  Never physics — every transport produces
         bitwise-identical trajectories — so it is excluded from the
         spec hash.
-    fuse_integrate:
-        Reference-engine fusion of the leap-frog kick+drift onto the
-        force output (the active kernel backend's ``force_integrate``
-        pass).  Like ``backend``, a speed knob, never physics: the
-        fused update performs the identical arithmetic — bitwise under
-        the numpy backend, within the 1e-9 equivalence gate under
-        compiled backends — so it is excluded from the spec hash and a
-        checkpoint can be resumed with the knob flipped.  Ignored by
-        ``wse``.
     offset_chunk:
         WSE streaming-sweep batch size: how many neighborhood offsets
         are stacked per exchange chunk (0 auto-sizes from the grid so
@@ -191,7 +184,6 @@ class RunSpec:
     workers: int = 0
     topology: tuple[int, int] | None = None
     transport: str | None = None
-    fuse_integrate: bool = False
     offset_chunk: int = 0
     thermostat: ThermostatSpec | None = None
     swap_interval: int = 0
@@ -358,8 +350,6 @@ class RunSpec:
             out["topology"] = list(self.topology)
         if self.transport is not None:
             out["transport"] = self.transport
-        if self.fuse_integrate:
-            out["fuse_integrate"] = True
         if self.offset_chunk:
             out["offset_chunk"] = int(self.offset_chunk)
         if self.thermostat is not None:

@@ -4,7 +4,8 @@ One request per connection, newline-delimited JSON both ways.  The
 request is an object with an ``op`` plus op-specific fields; the
 response is ``{"ok": true, ...}`` or ``{"ok": false, "error": ...,
 "code": ...}`` where ``code`` mirrors the CLI's exit codes (2 for a
-malformed spec, 1 for anything else).
+malformed spec, 1 for anything else).  A request line longer than
+:data:`MAX_REQUEST_BYTES` gets a code-1 "request too large" reply.
 
 Ops
 ---
@@ -42,6 +43,11 @@ __all__ = ["ServeServer", "ServeClient", "run_server"]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
+#: Longest accepted request line (the asyncio stream-buffer limit).
+MAX_REQUEST_BYTES = 64 * 1024
+#: How long an oversized request's unread tail is drained before the
+#: connection closes anyway.
+_DRAIN_TIMEOUT_S = 5.0
 
 
 class ServeServer:
@@ -69,7 +75,8 @@ class ServeServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+            self._handle, self.host, self._requested_port,
+            limit=MAX_REQUEST_BYTES,
         )
 
     async def close(self) -> None:
@@ -92,7 +99,16 @@ class ServeServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # the line overran MAX_REQUEST_BYTES
+                await self._send(writer, {
+                    "ok": False, "code": 1,
+                    "error": f"request too large (line limit "
+                             f"{MAX_REQUEST_BYTES} bytes)",
+                })
+                await self._drain(reader)
+                return
             if not line:
                 return
             try:
@@ -111,6 +127,24 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    @staticmethod
+    async def _drain(reader: asyncio.StreamReader) -> None:
+        """Consume the rest of an oversized request (to its newline, or
+        until the client closes).  Closing a socket with unread input
+        makes the kernel reset the connection, which can discard the
+        error reply before the client reads it."""
+
+        async def consume() -> None:
+            while True:
+                chunk = await reader.read(MAX_REQUEST_BYTES)
+                if not chunk or b"\n" in chunk:
+                    return
+
+        try:
+            await asyncio.wait_for(consume(), _DRAIN_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            pass
 
     async def _send(self, writer: asyncio.StreamWriter, obj: dict) -> None:
         writer.write(json.dumps(obj).encode() + b"\n")

@@ -8,8 +8,8 @@ run's telemetry (``<hash>-<steps>.telemetry.json``), indexed by
 
 Because ``spec_hash`` digests only the physics-determining fields, a
 request that differs solely in speed knobs (``workers``, ``topology``,
-``transport``, ``offset_chunk``, ``backend``, ``fuse_integrate``) maps
-to the same key and hits.  A request for *more* steps of a cached spec
+``transport``, ``offset_chunk``, ``backend``) maps to the same key and
+hits.  A request for *more* steps of a cached spec
 finds the deepest shallower entry via :meth:`best_resume` and continues
 from its checkpoint instead of restarting.
 

@@ -225,9 +225,6 @@ class JobScheduler:
             job.id, "state", {"state": state.value, **payload}
         )
         if job.terminal:
-            metrics().gauge(
-                label("serve.job.resume_step", job=job.id)
-            ).set(job.resume_step)
             job.done_event.set()
 
     def _log(self, job: Job, line: str) -> None:
@@ -399,7 +396,6 @@ class JobScheduler:
                 )
             except Exception:  # pragma: no cover - engine-specific
                 pass
-            metrics().gauge(label("serve.job.step", job=job.id)).set(step)
             self._post(self.bus.publish, job.id, "progress", payload)
 
         return observer

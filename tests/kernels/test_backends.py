@@ -5,10 +5,8 @@ import pytest
 
 import repro.kernels as kernels
 from repro.kernels import (
-    CORE_KERNEL_FUNCTIONS,
     DEFAULT_BACKEND,
     ENV_VAR,
-    FUSED_KERNEL_FUNCTIONS,
     KERNEL_FUNCTIONS,
     active_backend,
     active_backend_name,
@@ -16,7 +14,6 @@ from repro.kernels import (
     backend_status,
     register_backend,
     set_backend,
-    warmup_backend,
 )
 from repro.kernels import numpy_backend
 
@@ -43,17 +40,6 @@ class TestRegistry:
         assert name == "numpy"
         assert active_backend_name() == "numpy"
 
-    def test_numba_degrades_gracefully_when_missing(self):
-        # container may or may not have numba; either way this must
-        # activate *some* working backend without raising
-        if "numba" in available_backends():
-            assert set_backend("numba") == "numba"
-        else:
-            with pytest.warns(RuntimeWarning):
-                assert set_backend("numba") == "numpy"
-            assert "numba" in backend_status()
-            assert backend_status()["numba"] != "ok"
-
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
         monkeypatch.setattr(kernels, "_active", None)
@@ -61,101 +47,24 @@ class TestRegistry:
         assert active_backend_name() == "numpy"
 
     def test_incomplete_backend_rejected(self):
-        class Partial:
-            def spline_eval(self):  # pragma: no cover - never called
-                pass
-
-        register_backend("partial", lambda: Partial())
-        try:
-            with pytest.raises(TypeError, match="missing kernels"):
-                set_backend("partial")
-        finally:
-            kernels._loaders.pop("partial", None)
+        """No per-function fills: a backend missing any one interface
+        function is rejected, naming exactly that function."""
+        for missing in KERNEL_FUNCTIONS:
+            probe = type("Probe", (), {
+                fn: staticmethod(getattr(numpy_backend, fn))
+                for fn in KERNEL_FUNCTIONS if fn != missing
+            })
+            register_backend("one-short-probe", lambda: probe())
+            try:
+                with pytest.raises(TypeError) as err:
+                    set_backend("one-short-probe")
+                assert str(err.value).endswith(f"[{missing!r}]")
+            finally:
+                kernels._loaders.pop("one-short-probe", None)
+        assert active_backend_name() == "numpy"
 
     def test_status_reports_ok_for_numpy(self):
         assert backend_status()["numpy"] == "ok"
-
-    def test_interface_is_two_tiered(self):
-        assert set(KERNEL_FUNCTIONS) == (
-            set(CORE_KERNEL_FUNCTIONS) | set(FUSED_KERNEL_FUNCTIONS)
-        )
-        assert not set(CORE_KERNEL_FUNCTIONS) & set(FUSED_KERNEL_FUNCTIONS)
-
-    def test_core_only_backend_degrades_per_function(self):
-        """A backend with just the core tier keeps working when the
-        interface widens: missing fused kernels are filled from numpy,
-        announced by exactly one warning naming them."""
-        import warnings as _warnings
-
-        class CoreOnly:
-            spline_eval = staticmethod(numpy_backend.spline_eval)
-            accumulate_scalar = staticmethod(numpy_backend.accumulate_scalar)
-            accumulate_vec3 = staticmethod(numpy_backend.accumulate_vec3)
-
-        register_backend("core-only-probe", lambda: CoreOnly())
-        try:
-            with pytest.warns(RuntimeWarning) as caught:
-                assert set_backend("core-only-probe") == "core-only-probe"
-            runtime = [w for w in caught
-                       if issubclass(w.category, RuntimeWarning)]
-            assert len(runtime) == 1
-            msg = str(runtime[0].message)
-            for fn in FUSED_KERNEL_FUNCTIONS:
-                assert fn in msg
-            backend = active_backend()
-            assert backend.missing_kernels == tuple(
-                f for f in FUSED_KERNEL_FUNCTIONS if f in msg
-            )
-            for fn in KERNEL_FUNCTIONS:
-                assert callable(getattr(backend, fn))
-            # the numpy fill is the real numpy implementation
-            assert backend.fused_density_pass \
-                is numpy_backend.fused_density_pass
-            # re-activating must not warn again (once per process)
-            with _warnings.catch_warnings(record=True) as again:
-                _warnings.simplefilter("always")
-                set_backend(DEFAULT_BACKEND)
-                set_backend("core-only-probe")
-            assert [w for w in again
-                    if issubclass(w.category, RuntimeWarning)] == []
-        finally:
-            kernels._loaders.pop("core-only-probe", None)
-            kernels._resolved.pop("core-only-probe", None)
-            kernels._warned_fallbacks.discard("core-only-probe:partial")
-
-    def test_warmup_returns_float_and_caches(self):
-        set_backend(DEFAULT_BACKEND)
-        kernels._warmups.pop("numpy", None)
-        first = warmup_backend()
-        assert isinstance(first, float)
-        assert first == 0.0  # numpy has no warmup hook
-        assert warmup_backend("numpy") == first
-
-    def test_warmup_runs_hook_once(self):
-        calls = []
-
-        class Hooked:
-            spline_eval = staticmethod(numpy_backend.spline_eval)
-            accumulate_scalar = staticmethod(numpy_backend.accumulate_scalar)
-            accumulate_vec3 = staticmethod(numpy_backend.accumulate_vec3)
-            for _fn in FUSED_KERNEL_FUNCTIONS:
-                locals()[_fn] = staticmethod(getattr(numpy_backend, _fn))
-            del _fn
-
-            @staticmethod
-            def warmup():
-                calls.append(1)
-
-        register_backend("hooked-probe", lambda: Hooked())
-        try:
-            t1 = warmup_backend("hooked-probe")
-            t2 = warmup_backend("hooked-probe")
-            assert calls == [1]
-            assert t1 == t2 >= 0.0
-        finally:
-            kernels._loaders.pop("hooked-probe", None)
-            kernels._resolved.pop("hooked-probe", None)
-            kernels._warmups.pop("hooked-probe", None)
 
     def test_fallback_warns_once_per_name(self):
         # a campaign calling set_backend per run must not spam warnings;
@@ -170,6 +79,68 @@ class TestRegistry:
             assert set_backend("warn-dedupe-probe") == "numpy"
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
             == []
+
+    def test_reset_warnings_rearms_fallback(self):
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            set_backend("warn-rearm-probe")
+        kernels.reset_warnings()
+        with pytest.warns(RuntimeWarning, match="warn-rearm-probe"):
+            assert set_backend("warn-rearm-probe") == "numpy"
+
+    def test_import_error_backend_falls_back_with_reason(self):
+        """A backend whose platform cannot host it degrades to numpy;
+        the import failure is the reason reported everywhere."""
+
+        def loader():
+            raise ImportError("toolchain absent")
+
+        register_backend("import-error-probe", loader)
+        try:
+            with pytest.warns(RuntimeWarning, match="toolchain absent"):
+                assert set_backend("import-error-probe") == "numpy"
+            assert active_backend() is numpy_backend
+            assert "import-error-probe" not in available_backends()
+            assert backend_status()["import-error-probe"] \
+                == "toolchain absent"
+        finally:
+            kernels._loaders.pop("import-error-probe", None)
+            kernels._failures.pop("import-error-probe", None)
+
+    def test_reregister_replaces_resolved_backend(self):
+        """Registering a name again drops the cached module, so the
+        next selection loads the new one."""
+        first = type("First", (), {
+            fn: staticmethod(getattr(numpy_backend, fn))
+            for fn in KERNEL_FUNCTIONS
+        })()
+        second = type("Second", (), {
+            fn: staticmethod(getattr(numpy_backend, fn))
+            for fn in KERNEL_FUNCTIONS
+        })()
+        register_backend("reregister-probe", lambda: first)
+        try:
+            set_backend("reregister-probe")
+            assert active_backend() is first
+            register_backend("reregister-probe", lambda: second)
+            set_backend("reregister-probe")
+            assert active_backend() is second
+            assert active_backend_name() == "reregister-probe"
+        finally:
+            kernels._loaders.pop("reregister-probe", None)
+            kernels._resolved.pop("reregister-probe", None)
+
+    @pytest.mark.skipif(
+        "parallel" not in available_backends(),
+        reason="parallel backend requires fork",
+    )
+    def test_parallel_reexports_numpy_kernels(self):
+        """One kernel implementation: ``parallel`` hands out the numpy
+        functions themselves, so its inner loops cannot drift."""
+        from repro.kernels import parallel_backend
+
+        for fn in KERNEL_FUNCTIONS:
+            assert getattr(parallel_backend, fn) is getattr(numpy_backend, fn)
+        assert parallel_backend.provides_pipeline is True
 
 
 def _random_spline_inputs(seed, n_points=200, n_seg=17):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.md.integrators import LeapfrogVerlet
 from repro.md.simulation import Simulation
+from repro.md.thermostat import BerendsenThermostat
 from tests.conftest import bulk_state, small_slab_state
 
 
@@ -103,3 +105,56 @@ class TestDriverMechanics:
         sim = Simulation(state, ta_potential)
         sim.equilibrate(300, 290.0, tau_fs=50.0)
         assert state.temperature() > 150.0
+
+
+def _hand_stepped(potential, state, n_steps, dt_fs, thermostat=None):
+    """The step update spelled out: forces, leap-frog, then thermostat."""
+    forces_of = Simulation(state, potential, dt_fs=dt_fs)
+    integrator = LeapfrogVerlet(dt_fs)
+    for _ in range(n_steps):
+        _, forces = forces_of.compute_forces()
+        integrator.step(state, forces)
+        if thermostat is not None:
+            thermostat.apply(state, dt_fs)
+    return state
+
+
+class TestStepUpdate:
+    """``Simulation.run`` has one update path: the leap-frog kick+drift
+    of :class:`LeapfrogVerlet` on the step's forces, then the optional
+    thermostat.  Trajectories match that sequence bit for bit."""
+
+    def test_run_is_forces_then_leapfrog(self, ta_potential):
+        ref = _hand_stepped(
+            ta_potential, small_slab_state("Ta", (4, 4, 2), 150.0), 8, 2.0
+        )
+        state = small_slab_state("Ta", (4, 4, 2), 150.0)
+        Simulation(state, ta_potential, dt_fs=2.0).run(8)
+        assert np.array_equal(state.positions, ref.positions)
+        assert np.array_equal(state.velocities, ref.velocities)
+
+    def test_thermostat_applies_after_update(self, ta_potential):
+        ref = _hand_stepped(
+            ta_potential, small_slab_state("Ta", (3, 3, 2), 300.0), 6, 2.0,
+            thermostat=BerendsenThermostat(100.0, 50.0),
+        )
+        state = small_slab_state("Ta", (3, 3, 2), 300.0)
+        sim = Simulation(
+            state, ta_potential, dt_fs=2.0,
+            thermostat=BerendsenThermostat(100.0, 50.0),
+        )
+        sim.run(6)
+        assert np.array_equal(state.positions, ref.positions)
+        assert np.array_equal(state.velocities, ref.velocities)
+
+    def test_equilibrate_is_a_thermostatted_run(self, ta_potential):
+        ref = _hand_stepped(
+            ta_potential, small_slab_state("Ta", (3, 3, 2), 50.0), 5, 2.0,
+            thermostat=BerendsenThermostat(290.0, 40.0),
+        )
+        state = small_slab_state("Ta", (3, 3, 2), 50.0)
+        Simulation(state, ta_potential, dt_fs=2.0).equilibrate(
+            5, 290.0, tau_fs=40.0
+        )
+        assert np.array_equal(state.positions, ref.positions)
+        assert np.array_equal(state.velocities, ref.velocities)

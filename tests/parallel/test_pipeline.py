@@ -155,6 +155,80 @@ class TestGating:
         assert a.spec_hash() == b.spec_hash()
 
 
+def _inline_pipeline(potential, **kw):
+    state = small_slab_state("Ta", (4, 4, 2), temperature=200.0)
+    return state, ShardedForcePipeline(
+        state, potential, transport="inline", **kw
+    )
+
+
+class TestHostPolicy:
+    """Scheduling choices fixed by the layout and the host, not by
+    environment overrides.  Inline transport: no worker processes."""
+
+    def test_single_tile_keeps_serial_bin_grid(self, ta_potential):
+        # the w=1 bitwise-serial contract needs the serial radius-1
+        # enumeration order
+        _, pipe = _inline_pipeline(ta_potential, workers=1)
+        try:
+            assert [w.cells.subdivide for w in pipe.transport._workers] \
+                == [1]
+        finally:
+            pipe.close()
+
+    @pytest.mark.parametrize("topology", [(2, 1), (2, 2)])
+    def test_multi_tile_builds_bin_at_half_reach(self, ta_potential,
+                                                 topology):
+        _, pipe = _inline_pipeline(ta_potential, topology=topology)
+        try:
+            subdivide = [w.cells.subdivide for w in pipe.transport._workers]
+        finally:
+            pipe.close()
+        assert subdivide == [2] * (topology[0] * topology[1])
+
+    def test_staggers_when_workers_exceed_cpus(self, ta_potential,
+                                               monkeypatch):
+        monkeypatch.setattr("repro.parallel.pipeline.usable_cpus", lambda: 1)
+        _, pipe = _inline_pipeline(ta_potential, workers=2)
+        try:
+            assert pipe.stagger is True
+        finally:
+            pipe.close()
+
+    def test_no_stagger_with_spare_cpus(self, ta_potential, monkeypatch):
+        monkeypatch.setattr("repro.parallel.pipeline.usable_cpus", lambda: 8)
+        _, pipe = _inline_pipeline(ta_potential, workers=2)
+        try:
+            assert pipe.stagger is False
+        finally:
+            pipe.close()
+
+    @pytest.mark.parametrize("cpus, staggered", [(1, True), (8, False)])
+    def test_rebuild_dispatch_follows_stagger(self, ta_potential,
+                                              monkeypatch, cpus, staggered):
+        """Only the rebuild round is dispatched as a blocking command,
+        one rank at a time on a starved host; steady rounds post and
+        collect and never stagger."""
+        monkeypatch.setattr(
+            "repro.parallel.pipeline.usable_cpus", lambda: cpus
+        )
+        state, pipe = _inline_pipeline(ta_potential, workers=2)
+        seen = []
+        command = pipe.transport.command
+
+        def spy(msg, parts=None, *, stagger=False):
+            seen.append((msg[0], stagger))
+            return command(msg, parts, stagger=stagger)
+
+        pipe.transport.command = spy
+        try:
+            pipe.compute(state.positions)  # first call rebuilds
+            pipe.compute(state.positions)  # steady round: reuse
+        finally:
+            pipe.close()
+        assert seen == [("rebuild", staggered)]
+
+
 class TestTelemetry:
     def test_engine_reports_workers_and_shard_seconds(self):
         spec = RunSpec(

@@ -361,7 +361,7 @@ class TestAutoSelection:
         par.reset_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            kind = resolve_transport("auto", workers, {})
+            kind = resolve_transport("auto", workers)
         return kind, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize(
@@ -402,21 +402,13 @@ class TestAutoSelection:
         par.reset_warnings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            resolve_transport("auto", 2, {})
-            resolve_transport("auto", 2, {})  # same shape: no re-warn
-            resolve_transport("auto", 4, {})  # new shape: warns again
+            resolve_transport("auto", 2)
+            resolve_transport("auto", 2)  # same shape: no re-warn
+            resolve_transport("auto", 4)  # new shape: warns again
         assert len(caught) == 2
-
-    def test_inner_backend_forces_shared(self, monkeypatch):
-        from repro.parallel.transport import resolve_transport
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        kind = resolve_transport("auto", 2, {"inner_backend": "numba"})
-        assert kind == "shared"
 
     def test_explicit_kind_passes_through(self, monkeypatch):
         from repro.parallel.transport import resolve_transport
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_transport("socket", 8, {}) == "socket"
+        assert resolve_transport("socket", 8) == "socket"

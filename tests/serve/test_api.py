@@ -9,6 +9,8 @@ import asyncio
 import json
 import socket
 
+import pytest
+
 from repro.runtime import RunSpec
 from repro.serve import (
     JobScheduler,
@@ -52,6 +54,25 @@ class TestOps:
             probe.bind(("127.0.0.1", 0))
             free_port = probe.getsockname()[1]
         assert ServeClient(port=free_port, timeout=2.0).ping() is False
+
+    @pytest.mark.parametrize("pad_kib", [70, 4096])
+    def test_oversized_request_gets_error_reply(self, tmp_path, pad_kib):
+        """A request line past the stream limit is answered with a
+        code-1 error (not a connection reset), and the server keeps
+        serving.  The 4 MiB line is still arriving when the reply is
+        sent, so it also pins the drain of the unread tail."""
+        from repro.serve.api import MAX_REQUEST_BYTES
+
+        def fn(client):
+            big = {"op": "ping", "pad": "x" * (pad_kib * 1024)}
+            assert len(json.dumps(big)) > MAX_REQUEST_BYTES
+            return client.request(big), client.ping()
+
+        reply, alive = _with_server(tmp_path, fn)
+        assert reply["ok"] is False
+        assert reply["code"] == 1
+        assert "request too large" in reply["error"]
+        assert alive is True
 
     def test_submit_roundtrip(self, tmp_path):
         response = _with_server(

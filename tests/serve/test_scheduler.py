@@ -100,14 +100,16 @@ class TestCacheSemantics:
         )
 
     def test_speed_knob_change_still_hits(self, tmp_path):
-        """backend/workers/fuse are not physics: same cache key."""
+        """backend/workers/topology/transport/offset_chunk are not
+        physics: same cache key."""
         from dataclasses import replace
 
         async def body():
             sched = _scheduler(tmp_path)
             await sched.wait(await sched.submit(SPEC))
             tweaked = replace(
-                SPEC, backend="numpy", fuse_integrate=True, offset_chunk=7
+                SPEC, backend="parallel", topology=(2, 1),
+                transport="inline", offset_chunk=7,
             )
             job = await sched.submit(tweaked)
             await sched.wait(job)
@@ -180,6 +182,37 @@ class TestLifecycle:
         assert states == ["queued", "running", "done"]
         assert any(e.kind == "progress" for e in events)
         assert all(e.job_id == job.id for e in events)
+
+    def test_gauge_count_is_flat_over_many_jobs(self, tmp_path):
+        """Per-job values live on the job and its events, never in the
+        process-wide registry: finishing N more jobs (misses, a hit
+        and a resume) adds no gauge."""
+        from dataclasses import replace
+
+        from repro.obs import metrics
+
+        def gauges():
+            return set(metrics().as_dict()["gauges"])
+
+        async def body():
+            sched = _scheduler(tmp_path)
+            await sched.wait(await sched.submit(SPEC))
+            before = gauges()
+            jobs = [await sched.submit(replace(SPEC, seed=s))
+                    for s in (11, 12, 13)]
+            jobs.append(await sched.submit(SPEC))
+            jobs.append(await sched.submit(replace(SPEC, steps=6)))
+            for job in jobs:
+                await sched.wait(job)
+            await sched.close()
+            return before, gauges(), jobs
+
+        before, after, jobs = asyncio.run(body())
+        assert [j.state for j in jobs] == [JobState.DONE] * len(jobs)
+        assert [j.cache for j in jobs[-2:]] == ["hit", "resume"]
+        assert jobs[-1].as_dict()["resume_step"] == SPEC.steps
+        assert after == before
+        assert not any("job=" in name for name in after)
 
     def test_failed_job_captures_error(self, tmp_path, monkeypatch):
         def explode(self, job, spec_hash, target):

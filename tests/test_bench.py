@@ -84,16 +84,6 @@ class TestCaseTable:
         assert ta.reps == (20, 20, 20)
         assert SEED_BASELINE["ref-Ta"]["full"] == pytest.approx(4.875)
 
-    def test_numba_case_mirrors_acceptance_workload(self):
-        # the JIT tier is timed on the very same slab the 2x criterion
-        # names, gating against ref-Ta's seed rate via seed_key
-        nb = next(c for c in CASES if c.name == "numba-Ta")
-        ta = next(c for c in CASES if c.name == "ref-Ta")
-        assert nb.backend == "numba"
-        assert nb.reps == ta.reps and nb.steps == ta.steps
-        assert nb.seed_key == "ref-Ta"
-        assert QUICK_REPS["numba-Ta"] == QUICK_REPS["ref-Ta"]
-
     def test_backend_variants_share_serial_seed_key(self):
         for case in CASES:
             if case.backend is not None and case.engine == "reference":
@@ -310,16 +300,16 @@ class TestCrossBackendNotes:
             ],
         }
         notes = cross_backend_notes(
-            [fake_result(name="numba-Ta", steps_per_s=20.0)],
+            [fake_result(name="par-Ta-w4", steps_per_s=20.0)],
             baseline, mode="quick",
         )
         assert len(notes) == 1
-        assert "numba-Ta" in notes[0] and "4.00x" in notes[0]
+        assert "par-Ta-w4" in notes[0] and "4.00x" in notes[0]
         assert "baseline history" in notes[0]
 
     def test_missing_sibling_is_noted_not_silent(self):
         notes = cross_backend_notes(
-            [fake_result(name="numba-Ta", steps_per_s=20.0)]
+            [fake_result(name="par-Ta-w4", steps_per_s=20.0)]
         )
         assert len(notes) == 1
         assert "no ref-Ta timing" in notes[0]
@@ -414,12 +404,12 @@ class TestExecution:
         assert result.extra["neighbor_rebuilds"] >= 0
         assert result.extra["time_force_s"] > 0
 
-    def test_run_case_records_backend_and_warmup(self):
+    def test_run_case_records_backend(self):
         case = next(c for c in CASES if c.name == "ref-Ta")
         result = run_case(case, quick=True, steps=2)
         entry = result.to_json()
         assert entry["kernel_backend"] == "numpy"
-        assert entry["jit_warmup_s"] == 0.0  # numpy has no JIT to warm
+        assert "jit_warmup_s" not in entry
 
     def test_run_bench_skips_unavailable_pinned_backend(self, monkeypatch):
         import repro.kernels as kernels
@@ -444,7 +434,7 @@ class TestExecution:
         skipped = {ln.split(":")[0].strip() for ln in lines
                    if "unavailable" in ln}
         assert skipped == {"par-Ta-w1", "par-Ta-w2", "par-Ta-w4",
-                           "par-Ta-4x1", "numba-Ta"}
+                           "par-Ta-4x1"}
 
     def test_write_report_round_trip(self, tmp_path):
         path = tmp_path / "bench.json"
@@ -538,19 +528,18 @@ class TestCli:
         # backend leg can never silently time the wrong kernels
         import repro.kernels as kernels
 
-        monkeypatch.setattr(
-            kernels, "available_backends", lambda: ["numpy", "parallel"]
-        )
+        monkeypatch.setattr(kernels, "available_backends", lambda: ["numpy"])
         monkeypatch.setattr(
             kernels, "backend_status",
-            lambda: {"numba": "No module named 'numba'"},
+            lambda: {"numpy": "ok", "parallel": "requires fork"},
         )
         out = tmp_path / "x.json"
-        rc = main(["bench", "--quick", "--backend", "numba",
+        rc = main(["bench", "--quick", "--backend", "parallel",
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "numba" in err and "unavailable" in err
+        assert "parallel" in err and "unavailable" in err
+        assert "requires fork" in err
         assert not out.exists()  # nothing was benched, nothing written
 
     def test_bench_available_pinned_backend_proceeds(
